@@ -55,26 +55,104 @@ type result = {
          given an enabled registry *)
 }
 
-type tx_record = {
-  target : int; (* replica the client sent the tx to; -1 = broadcast *)
-  issued_at : float;
-  client : int; (* logical client; 0 = open-loop *)
-  mutable completed : bool;
-  mutable counted : bool;
-      (* already counted in the observer's committed-tx metrics; under
-         broadcast submission a tx can legitimately appear in two
-         committed blocks, but must be counted once *)
-  (* Latency-decomposition stages, all measured at the target replica and
+(* --- per-transaction records --- *)
+
+(* The runtime's client bookkeeping, one slot per simulated transaction,
+   stored as columns indexed by [Tx.id.seq]. Every transaction the
+   simulator issues comes from [fresh_tx], so sequence numbers are unique
+   and dense; a slot still remembers its client so a lookup for any other
+   id (or an out-of-range [seq]) finds nothing. Times live in one unboxed
+   float array, [time_fields] per slot, so stage updates never allocate. *)
+module Tx_table = struct
+  (* Float fields of a slot. Stages are measured at the target replica and
      only for single-target submissions; negative = not reached yet. *)
-  mutable submit_wire : float; (* client -> replica one-way *)
-  mutable ingest_wait : float; (* CPU-queue wait of the ingest charge *)
-  mutable ingest_service : float;
-  mutable arrived_at : float; (* entered the mempool *)
-  mutable batched_at : float; (* batched into a proposal *)
-  mutable propose_wait : float; (* CPU-queue wait of block creation *)
-  mutable propose_service : float;
-  mutable nic_ser : float; (* outbound NIC backlog of the broadcast *)
-}
+  let issued_at = 0
+  let submit_wire = 1 (* client -> replica one-way *)
+  let ingest_wait = 2 (* CPU-queue wait of the ingest charge *)
+  let ingest_service = 3
+  let arrived_at = 4 (* entered the mempool *)
+  let batched_at = 5 (* batched into a proposal *)
+  let propose_wait = 6 (* CPU-queue wait of block creation *)
+  let propose_service = 7
+  let nic_ser = 8 (* outbound NIC backlog of the broadcast *)
+  let time_fields = 9
+
+  (* Flag bits. Under broadcast submission a tx can legitimately appear in
+     two committed blocks, but the observer must count it once. *)
+  let completed = 1
+  let counted = 2
+
+  type t = {
+    mutable target : int array; (* replica sent to; -1 = broadcast *)
+    mutable client : int array; (* logical client, 0 = open loop; -1 = free *)
+    mutable flags : Bytes.t;
+    mutable times : Float.Array.t;
+  }
+
+  (* Small on purpose: a run that issues few transactions (or none, as in
+     a set-up measurement) should not pay for a large table. *)
+  let initial_capacity = 64
+
+  let alloc cap =
+    {
+      target = Array.make cap 0;
+      client = Array.make cap (-1);
+      flags = Bytes.make cap '\000';
+      times = Float.Array.make (cap * time_fields) 0.0;
+    }
+
+  let create () = alloc initial_capacity
+
+  let grow t seq =
+    let len = Array.length t.client in
+    let cap = ref len in
+    while seq >= !cap do
+      cap := 2 * !cap
+    done;
+    let bigger = alloc !cap in
+    Array.blit t.target 0 bigger.target 0 len;
+    Array.blit t.client 0 bigger.client 0 len;
+    Bytes.blit t.flags 0 bigger.flags 0 len;
+    Float.Array.blit t.times 0 bigger.times 0 (len * time_fields);
+    t.target <- bigger.target;
+    t.client <- bigger.client;
+    t.flags <- bigger.flags;
+    t.times <- bigger.times
+
+  let add t (id : Tx.id) ~target ~issued_at:at =
+    let i = id.Tx.seq in
+    if i >= Array.length t.client then grow t i;
+    t.target.(i) <- target;
+    t.client.(i) <- id.Tx.client;
+    Bytes.set t.flags i '\000';
+    let base = i * time_fields in
+    Float.Array.fill t.times base time_fields 0.0;
+    Float.Array.set t.times (base + issued_at) at;
+    Float.Array.set t.times (base + arrived_at) (-1.0);
+    Float.Array.set t.times (base + batched_at) (-1.0)
+
+  (* The slot of [id], or -1 when the table holds no such transaction. *)
+  let find t (id : Tx.id) =
+    let i = id.Tx.seq in
+    if i >= 0 && i < Array.length t.client && t.client.(i) = id.Tx.client then i
+    else -1
+
+  (* The slot of [id] if it was sent to [replica] alone, else -1: stage
+     times are only tracked along a single-target path. *)
+  let find_sent_to t id ~replica =
+    let i = find t id in
+    if i >= 0 && t.target.(i) = replica then i else -1
+
+  let target t i = t.target.(i)
+  let client t i = t.client.(i)
+  let has t i flag = Char.code (Bytes.get t.flags i) land flag <> 0
+
+  let mark t i flag =
+    Bytes.set t.flags i (Char.chr (Char.code (Bytes.get t.flags i) lor flag))
+
+  let get t i field = Float.Array.get t.times ((i * time_fields) + field)
+  let set t i field x = Float.Array.set t.times ((i * time_fields) + field) x
+end
 
 (* --- controlled scheduling (the bamboo_explore model checker) --- *)
 
@@ -137,7 +215,7 @@ type st = {
   nodes : Node.t array;
   metrics : Metrics.t;
   observer : int;
-  records : (Tx.id, tx_record) Hashtbl.t;
+  txs : Tx_table.t;
   workload_rng : Rng.t;
   eng : Fault_engine.t;
   trace : Trace.t;
@@ -341,31 +419,43 @@ and transmit_modeled st ~src ~dst ~bytes msg =
   end
 
 and complete_tx st replica (tx : Tx.t) =
-  match Hashtbl.find_opt st.records tx.Tx.id with
-  | Some rec_
-    when (rec_.target = replica || rec_.target = -1) && not rec_.completed ->
-      rec_.completed <- true;
+  let t = st.txs in
+  let i = Tx_table.find t tx.Tx.id in
+  if i >= 0 then begin
+    let target = Tx_table.target t i in
+    if
+      (target = replica || target = -1)
+      && not (Tx_table.has t i Tx_table.completed)
+    then begin
+      Tx_table.mark t i Tx_table.completed;
+      let issued_at = Tx_table.get t i Tx_table.issued_at in
       let response = Netmodel.client_rtt st.net ~now:(Sim.now st.sim) /. 2.0 in
       let done_at = Sim.now st.sim +. response in
-      Metrics.record_latency st.metrics ~now:done_at ~issued_at:rec_.issued_at
-        ~latency:(done_at -. rec_.issued_at);
+      Metrics.record_latency st.metrics ~now:done_at ~issued_at
+        ~latency:(done_at -. issued_at);
       (* Stage decomposition, over the same measurement window as
          [record_latency]; only single-target submissions have a
          well-defined path (the target replica batches, proposes and
          commits the transaction itself). *)
+      let arrived_at = Tx_table.get t i Tx_table.arrived_at in
+      let batched_at = Tx_table.get t i Tx_table.batched_at in
       if
-        rec_.target = replica
-        && rec_.arrived_at >= 0.0
-        && rec_.batched_at >= 0.0
-        && rec_.issued_at >= st.config.Config.warmup
+        target = replica && arrived_at >= 0.0 && batched_at >= 0.0
+        && issued_at >= st.config.Config.warmup
         && done_at < st.config.Config.runtime
       then begin
-        let total = done_at -. rec_.issued_at in
-        let client_wire = rec_.submit_wire +. response in
-        let cpu_queue = rec_.ingest_wait +. rec_.propose_wait in
-        let cpu_service = rec_.ingest_service +. rec_.propose_service in
-        let mempool_wait = rec_.batched_at -. rec_.arrived_at in
-        let nic_serialization = rec_.nic_ser in
+        let total = done_at -. issued_at in
+        let client_wire = Tx_table.get t i Tx_table.submit_wire +. response in
+        let cpu_queue =
+          Tx_table.get t i Tx_table.ingest_wait
+          +. Tx_table.get t i Tx_table.propose_wait
+        in
+        let cpu_service =
+          Tx_table.get t i Tx_table.ingest_service
+          +. Tx_table.get t i Tx_table.propose_service
+        in
+        let mempool_wait = batched_at -. arrived_at in
+        let nic_serialization = Tx_table.get t i Tx_table.nic_ser in
         let consensus_wait =
           total -. client_wire -. cpu_queue -. cpu_service -. mempool_wait
           -. nic_serialization
@@ -381,8 +471,10 @@ and complete_tx st replica (tx : Tx.t) =
           }
           ~total
       end;
-      if rec_.client > 0 then st.reissue ~client:rec_.client ~after:response
-  | Some _ | None -> ()
+      let client = Tx_table.client t i in
+      if client > 0 then st.reissue ~client ~after:response
+    end
+  end
 
 and process_outputs st id outs =
   let sends = ref [] in
@@ -454,12 +546,13 @@ and process_outputs st id outs =
             blocks;
           if id = st.observer then begin
             let count_fresh acc (tx : Tx.t) =
-              match Hashtbl.find_opt st.records tx.Tx.id with
-              | Some r when not r.counted ->
-                  r.counted <- true;
-                  acc + 1
-              | Some _ -> acc
-              | None -> acc + 1
+              let i = Tx_table.find st.txs tx.Tx.id in
+              if i < 0 then acc + 1
+              else if Tx_table.has st.txs i Tx_table.counted then acc
+              else begin
+                Tx_table.mark st.txs i Tx_table.counted;
+                acc + 1
+              end
             in
             let ntxs =
               List.fold_left
@@ -542,13 +635,14 @@ and process_outputs st id outs =
          (fun (b : Block.t) ->
            List.iter
              (fun (tx : Tx.t) ->
-               match Hashtbl.find_opt st.records tx.Tx.id with
-               | Some r when r.target = id ->
-                   r.batched_at <- now;
-                   r.propose_wait <- cpu_wait;
-                   r.propose_service <- !creation;
-                   r.nic_ser <- 0.0
-               | Some _ | None -> ())
+               let t = st.txs in
+               let i = Tx_table.find_sent_to t tx.Tx.id ~replica:id in
+               if i >= 0 then begin
+                 Tx_table.set t i Tx_table.batched_at now;
+                 Tx_table.set t i Tx_table.propose_wait cpu_wait;
+                 Tx_table.set t i Tx_table.propose_service !creation;
+                 Tx_table.set t i Tx_table.nic_ser 0.0
+               end)
              b.txs)
          !proposed);
     Machine.cpu st.machines.(id) ~duration:!creation (fun () ->
@@ -566,9 +660,9 @@ and process_outputs st id outs =
              (fun (b : Block.t) ->
                List.iter
                  (fun (tx : Tx.t) ->
-                   match Hashtbl.find_opt st.records tx.Tx.id with
-                   | Some r when r.target = id -> r.nic_ser <- ser
-                   | Some _ | None -> ())
+                   let i = Tx_table.find_sent_to st.txs tx.Tx.id ~replica:id in
+                   if i >= 0 then
+                     Tx_table.set st.txs i Tx_table.nic_ser ser)
                  b.txs)
              !proposed))
   end
@@ -577,23 +671,8 @@ and process_outputs st id outs =
 
 (* [record_target = -1] means any replica's commit completes the tx
    (broadcast submission). *)
-let record_tx st ~client ~record_target (tx : Tx.t) =
-  Hashtbl.replace st.records tx.Tx.id
-    {
-      target = record_target;
-      issued_at = Sim.now st.sim;
-      client;
-      completed = false;
-      counted = false;
-      submit_wire = 0.0;
-      ingest_wait = 0.0;
-      ingest_service = 0.0;
-      arrived_at = -1.0;
-      batched_at = -1.0;
-      propose_wait = 0.0;
-      propose_service = 0.0;
-      nic_ser = 0.0;
-    }
+let record_tx st ~record_target (tx : Tx.t) =
+  Tx_table.add st.txs tx.Tx.id ~target:record_target ~issued_at:(Sim.now st.sim)
 
 let send_batch st ~target txs =
   let now = Sim.now st.sim in
@@ -610,13 +689,14 @@ let send_batch st ~target txs =
               let entered = Sim.now st.sim in
               List.iter
                 (fun (tx : Tx.t) ->
-                  match Hashtbl.find_opt st.records tx.Tx.id with
-                  | Some r when r.target = target ->
-                      r.submit_wire <- one_way;
-                      r.ingest_wait <- wait;
-                      r.ingest_service <- cost;
-                      r.arrived_at <- entered
-                  | Some _ | None -> ())
+                  let t = st.txs in
+                  let i = Tx_table.find_sent_to t tx.Tx.id ~replica:target in
+                  if i >= 0 then begin
+                    Tx_table.set t i Tx_table.submit_wire one_way;
+                    Tx_table.set t i Tx_table.ingest_wait wait;
+                    Tx_table.set t i Tx_table.ingest_service cost;
+                    Tx_table.set t i Tx_table.arrived_at entered
+                  end)
                 txs;
               if Trace.enabled st.trace then
                 Trace.emit st.trace ~ts:entered ~node:target
@@ -627,10 +707,10 @@ let send_batch st ~target txs =
             end)
       end)
 
-let issue_txs st ~client txs_by_target =
+let issue_txs st txs_by_target =
   List.iter
     (fun (target, txs) ->
-      List.iter (record_tx st ~client ~record_target:target) txs;
+      List.iter (record_tx st ~record_target:target) txs;
       send_batch st ~target txs)
     txs_by_target
 
@@ -651,7 +731,7 @@ let start_open_loop st ~rate ~broadcast =
           (* Every transaction goes to every replica; any replica's commit
              completes it. *)
           let txs = List.init k (fun _ -> fresh_tx st ~client:0) in
-          List.iter (record_tx st ~client:0 ~record_target:(-1)) txs;
+          List.iter (record_tx st ~record_target:(-1)) txs;
           for target = 0 to st.config.n - 1 do
             send_batch st ~target txs
           done
@@ -671,7 +751,7 @@ let start_open_loop st ~rate ~broadcast =
           (* Walk targets in replica order rather than folding the table:
              the batch list's order reaches the trace sink via issue_txs,
              so it must not depend on bucket layout. *)
-          issue_txs st ~client:0
+          issue_txs st
             (List.filter_map
                (fun tgt ->
                  Option.map
@@ -689,7 +769,7 @@ let issue_one st ~client =
   if Sim.now st.sim < st.config.runtime then begin
     let target = Rng.int st.workload_rng st.config.n in
     let tx = fresh_tx st ~client in
-    issue_txs st ~client [ (target, [ tx ]) ]
+    issue_txs st [ (target, [ tx ]) ]
   end
 
 let start_closed_loop st ~clients =
@@ -921,7 +1001,7 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
       nodes;
       metrics;
       observer;
-      records = Hashtbl.create 4096;
+      txs = Tx_table.create ();
       workload_rng;
       eng =
         Fault_engine.create ~n:config.Config.n ~rng:fault_rng

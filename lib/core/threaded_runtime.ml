@@ -11,6 +11,7 @@ module Json = Bamboo_util.Json
 
 type report = {
   duration : float;
+  offered_txs : int;
   committed_txs : int;
   committed_blocks : int array;
   throughput : float;
@@ -24,6 +25,7 @@ type report = {
 type shared = {
   mutex : Mutex.t;
   issue_times : float Tx.Id_tbl.t; [@guarded_by "mutex"]
+  mutable offered : int; [@guarded_by "mutex"]
   mutable latency_total : float; [@guarded_by "mutex"]
   mutable latency_count : int; [@guarded_by "mutex"]
   mutable committed : Tx.Id_set.t; [@guarded_by "mutex"]
@@ -278,6 +280,7 @@ module Make_batched (T : Bamboo_network.Transport.S_batched) = struct
       {
         mutex = Mutex.create ();
         issue_times = Tx.Id_tbl.create 1024;
+        offered = 0;
         latency_total = 0.0;
         latency_count = 0;
         committed = Tx.Id_set.empty;
@@ -331,6 +334,7 @@ module Make_batched (T : Bamboo_network.Transport.S_batched) = struct
       (fun (tx : Tx.t) ->
         Tx.Id_tbl.replace cluster.shared.issue_times tx.id now)
       txs;
+    cluster.shared.offered <- cluster.shared.offered + List.length txs;
     Mutex.unlock cluster.shared.mutex;
     Mutex.lock ctx.node_mutex;
     let rejected_before = Node.rejected_txs ctx.node in
@@ -433,8 +437,9 @@ module Make_batched (T : Bamboo_network.Transport.S_batched) = struct
       replicas;
     (* The replica threads are joined, but take the mutex anyway so the
        locking story stays uniform (and checkable) for these fields. *)
-    let committed_txs, latency_mean, latency_count =
+    let offered_txs, committed_txs, latency_mean, latency_count =
       Mutex.lock shared.mutex;
+      let offered_txs = shared.offered in
       let committed_txs = Tx.Id_set.cardinal shared.committed in
       let latency_mean =
         if shared.latency_count = 0 then 0.0
@@ -442,10 +447,11 @@ module Make_batched (T : Bamboo_network.Transport.S_batched) = struct
       in
       let latency_count = shared.latency_count in
       Mutex.unlock shared.mutex;
-      (committed_txs, latency_mean, latency_count)
+      (offered_txs, committed_txs, latency_mean, latency_count)
     in
     {
       duration = elapsed;
+      offered_txs;
       committed_txs;
       committed_blocks;
       throughput = float_of_int committed_txs /. elapsed;
@@ -463,9 +469,17 @@ module Make_batched (T : Bamboo_network.Transport.S_batched) = struct
     let rng = Bamboo_util.Rng.create ~seed:(config.Config.seed + 1000) in
     let seq = ref 0 in
     let batch_interval = 0.002 in
-    let deadline = Unix.gettimeofday () +. duration in
-    while Unix.gettimeofday () < deadline do
-      let k = Bamboo_util.Dist.poisson rng ~mean:(rate *. batch_interval) in
+    (* Each batch is the Poisson count of the time measured since the
+       previous draw, not of the nominal interval: sleeps overshoot, and a
+       fixed per-batch mean would drop the overshoot's load. The last
+       draw stops at the deadline, so [duration] is offered exactly. *)
+    let last = ref (Unix.gettimeofday ()) in
+    let deadline = !last +. duration in
+    while !last < deadline do
+      Thread.delay batch_interval;
+      let now = Float.min deadline (Unix.gettimeofday ()) in
+      let k = Bamboo_util.Dist.poisson rng ~mean:(rate *. (now -. !last)) in
+      last := now;
       if k > 0 then begin
         let target = targets.(Bamboo_util.Rng.int rng (Array.length targets)) in
         let txs =
@@ -474,8 +488,7 @@ module Make_batched (T : Bamboo_network.Transport.S_batched) = struct
               Tx.make ~client:1 ~seq:!seq ~payload_len:config.Config.psize)
         in
         submit cluster ~replica:target txs
-      end;
-      Thread.delay batch_interval
+      end
     done;
     stop cluster
 end

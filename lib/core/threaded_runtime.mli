@@ -11,6 +11,9 @@
 
 type report = {
   duration : float;  (** Wall-clock seconds measured. *)
+  offered_txs : int;
+      (** Transactions handed to {!RUNTIME.submit} (or
+          {!RUNTIME.submit_admission}), admitted or not. *)
   committed_txs : int;  (** Distinct transactions committed. *)
   committed_blocks : int array;  (** Per replica. *)
   throughput : float;
@@ -94,7 +97,9 @@ module type RUNTIME = sig
     report
   (** Convenience: [start], drive a Poisson open-loop client at [rate]
       tx/s for [duration] wall-clock seconds (submitting to owned
-      replicas only), [stop]. *)
+      replicas only), [stop]. Each batch draws its count over the wall
+      time measured since the previous batch, so late wakeups do not
+      lower the offered load. *)
 end
 
 module Make_batched (T : Bamboo_network.Transport.S_batched) :

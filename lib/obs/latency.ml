@@ -1,4 +1,3 @@
-module Stats = Bamboo_util.Stats
 module Json = Bamboo_util.Json
 
 type components = {
@@ -10,15 +9,11 @@ type components = {
   consensus_wait : float;
 }
 
-type t = {
-  client_wire : Stats.t;
-  cpu_queue : Stats.t;
-  cpu_service : Stats.t;
-  mempool_wait : Stats.t;
-  nic_serialization : Stats.t;
-  consensus_wait : Stats.t;
-  total : Stats.t;
-}
+(* Running means only, one slot per component in declaration order and
+   the total last. Each is updated with the recurrence of
+   {!Bamboo_util.Stats.add} ([mean += (x - mean) / n]), so the means equal
+   a full-sample accumulator's bit for bit without retaining any sample. *)
+type t = { mutable count : int; means : Float.Array.t }
 
 type summary = {
   samples : int;
@@ -31,36 +26,34 @@ type summary = {
   total : float;
 }
 
-let create () =
-  {
-    client_wire = Stats.create ();
-    cpu_queue = Stats.create ();
-    cpu_service = Stats.create ();
-    mempool_wait = Stats.create ();
-    nic_serialization = Stats.create ();
-    consensus_wait = Stats.create ();
-    total = Stats.create ();
-  }
+let create () = { count = 0; means = Float.Array.make 7 0.0 }
+
+let update means n slot x =
+  let m = Float.Array.get means slot in
+  Float.Array.set means slot (m +. ((x -. m) /. n))
 
 let record (t : t) (c : components) ~total =
-  Stats.add t.client_wire c.client_wire;
-  Stats.add t.cpu_queue c.cpu_queue;
-  Stats.add t.cpu_service c.cpu_service;
-  Stats.add t.mempool_wait c.mempool_wait;
-  Stats.add t.nic_serialization c.nic_serialization;
-  Stats.add t.consensus_wait c.consensus_wait;
-  Stats.add t.total total
+  t.count <- t.count + 1;
+  let n = float_of_int t.count in
+  update t.means n 0 c.client_wire;
+  update t.means n 1 c.cpu_queue;
+  update t.means n 2 c.cpu_service;
+  update t.means n 3 c.mempool_wait;
+  update t.means n 4 c.nic_serialization;
+  update t.means n 5 c.consensus_wait;
+  update t.means n 6 total
 
 let summarize (t : t) =
+  let mean = Float.Array.get t.means in
   {
-    samples = Stats.count t.total;
-    client_wire = Stats.mean t.client_wire;
-    cpu_queue = Stats.mean t.cpu_queue;
-    cpu_service = Stats.mean t.cpu_service;
-    mempool_wait = Stats.mean t.mempool_wait;
-    nic_serialization = Stats.mean t.nic_serialization;
-    consensus_wait = Stats.mean t.consensus_wait;
-    total = Stats.mean t.total;
+    samples = t.count;
+    client_wire = mean 0;
+    cpu_queue = mean 1;
+    cpu_service = mean 2;
+    mempool_wait = mean 3;
+    nic_serialization = mean 4;
+    consensus_wait = mean 5;
+    total = mean 6;
   }
 
 let components_sum (s : summary) =

@@ -33,6 +33,7 @@ type components = {
 }
 
 type t
+(** Running means of every component; individual samples are not kept. *)
 
 type summary = {
   samples : int;

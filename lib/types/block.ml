@@ -11,7 +11,19 @@ type t = {
 
 (* Leaves commit to both the id and the payload bytes so that an executed
    command cannot be substituted after certification. *)
-let leaf_preimage (tx : Tx.t) = Tx.id_to_string tx.id ^ "|" ^ tx.data
+let add_leaf_preimage buf (tx : Tx.t) =
+  (* [Tx.id_to_string tx.id ^ "|" ^ tx.data], without the format
+     interpreter: it dominated the cost of a flat root. *)
+  Buffer.add_string buf (string_of_int tx.id.client);
+  Buffer.add_char buf ':';
+  Buffer.add_string buf (string_of_int tx.id.seq);
+  Buffer.add_char buf '|';
+  Buffer.add_string buf tx.data
+
+let leaf_preimage tx =
+  let buf = Buffer.create 32 in
+  add_leaf_preimage buf tx;
+  Buffer.contents buf
 
 let merkle_root txs =
   match txs with
@@ -64,8 +76,8 @@ let genesis_hash = genesis.hash
 let flat_root txs =
   let buf = Buffer.create 256 in
   List.iter
-    (fun (tx : Tx.t) ->
-      Buffer.add_string buf (leaf_preimage tx);
+    (fun tx ->
+      add_leaf_preimage buf tx;
       Buffer.add_char buf ',')
     txs;
   Bamboo_crypto.Sha256.digest (Buffer.contents buf)

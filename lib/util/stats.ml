@@ -51,11 +51,39 @@ let min_value t = if t.n = 0 then 0.0 else t.min
 let max_value t = if t.n = 0 then 0.0 else t.max
 let total t = t.total
 
+(* In-place heapsort of [a.(0 .. len-1)], ascending. Monomorphic on
+   purpose: the float array is read and written unboxed and compared
+   inline, where [Array.sort Float.compare] boxes every element it moves.
+   Samples are never NaN, so the order is the one [Float.compare] gives. *)
+let sort_prefix (a : float array) len =
+  let rec sift i len =
+    let child = (2 * i) + 1 in
+    if child < len then begin
+      let child =
+        if child + 1 < len && a.(child + 1) > a.(child) then child + 1
+        else child
+      in
+      if a.(child) > a.(i) then begin
+        let x = a.(i) in
+        a.(i) <- a.(child);
+        a.(child) <- x;
+        sift child len
+      end
+    end
+  in
+  for i = (len / 2) - 1 downto 0 do
+    sift i len
+  done;
+  for last = len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift 0 last
+  done
+
 let ensure_sorted t =
   if not t.sorted then begin
-    let a = Array.sub t.samples 0 t.len in
-    Array.sort Float.compare a;
-    Array.blit a 0 t.samples 0 t.len;
+    sort_prefix t.samples t.len;
     t.sorted <- true
   end
 

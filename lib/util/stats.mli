@@ -8,6 +8,7 @@ type t
 val create : unit -> t
 
 val add : t -> float -> unit
+(** [x] must not be NaN: percentiles sort the samples by [<]. *)
 
 val count : t -> int
 

@@ -11,9 +11,11 @@ type net = {
   nodes : Node.t array;
   queue : (int * Message.t) Queue.t; (* (destination, message) *)
   mutable timers : (int * Node.timer * float) list; (* (node, timer, after) *)
-  mutable committed : (int * Block.t) list; (* (node, block) *)
-  mutable forked : (int * Block.t) list;
-  mutable proposed : Block.t list;
+  (* Output logs, newest first so that appending stays linear; read them
+     through [committed] and [proposed]. *)
+  mutable committed_rev : (int * Block.t) list; (* (node, block) *)
+  mutable forked_rev : (int * Block.t) list;
+  mutable proposed_rev : Block.t list;
 }
 
 let make_net ?(config = Config.default) () =
@@ -24,9 +26,9 @@ let make_net ?(config = Config.default) () =
           Node.create ~config ~self ~registry ());
     queue = Queue.create ();
     timers = [];
-    committed = [];
-    forked = [];
-    proposed = [];
+    committed_rev = [];
+    forked_rev = [];
+    proposed_rev = [];
   }
 
 let absorb net src outs =
@@ -42,10 +44,14 @@ let absorb net src outs =
       | Node.Set_timer { timer; after } ->
           net.timers <- (src, timer, after) :: net.timers
       | Node.Committed { blocks; _ } ->
-          net.committed <- net.committed @ List.map (fun b -> (src, b)) blocks
+          List.iter
+            (fun b -> net.committed_rev <- (src, b) :: net.committed_rev)
+            blocks
       | Node.Forked blocks ->
-          net.forked <- net.forked @ List.map (fun b -> (src, b)) blocks
-      | Node.Proposed b -> net.proposed <- net.proposed @ [ b ]
+          List.iter
+            (fun b -> net.forked_rev <- (src, b) :: net.forked_rev)
+            blocks
+      | Node.Proposed b -> net.proposed_rev <- b :: net.proposed_rev
       | Node.Voted _ -> ()
       | Node.Qc_formed _ | Node.Entered_view _ -> ())
     outs
@@ -78,8 +84,11 @@ let submit net ~replica txs =
   absorb net replica (Node.handle net.nodes.(replica) (Submit txs));
   settle net
 
+let committed net = List.rev net.committed_rev
+let proposed net = List.rev net.proposed_rev
+
 let committed_of net i =
-  List.filter_map (fun (n, b) -> if n = i then Some b else None) net.committed
+  List.filter_map (fun (n, b) -> if n = i then Some b else None) (committed net)
 
 (* --- tests --- *)
 
@@ -90,7 +99,8 @@ let test_start_leader_proposes () =
   (* Leader of view 1 is replica 1 (rotation); one proposal expected, and
      with instant delivery the pipeline races ahead: every node ends in
      the same view. *)
-  Alcotest.(check bool) "someone proposed" true (List.length net.proposed >= 1);
+  Alcotest.(check bool) "someone proposed" true
+    (List.length (proposed net) >= 1);
   (* Delivery was cut mid-cascade, so nodes may straddle a view boundary,
      but never more. *)
   let views = Array.map Node.current_view net.nodes in
@@ -106,7 +116,8 @@ let test_empty_blocks_commit () =
   (* With no load the chain still grows (empty blocks) and commits: drive a
      few rounds by settling — instant delivery means proposals cascade
      until... they self-perpetuate, so commits appear without timers. *)
-  Alcotest.(check bool) "commits happened" true (List.length net.committed > 0)
+  Alcotest.(check bool) "commits happened" true
+    (List.length (committed net) > 0)
 
 let test_committed_prefix_consistency () =
   let net = make_net () in
@@ -143,7 +154,7 @@ let test_txs_flow_into_blocks () =
     else begin
       settle net;
       let all_committed_txs =
-        List.concat_map (fun (_, (b : Block.t)) -> b.txs) net.committed
+        List.concat_map (fun (_, (b : Block.t)) -> b.txs) (committed net)
       in
       if
         List.for_all
@@ -191,7 +202,7 @@ let test_silent_leader_stalls_until_timeout () =
   let net = make_net ~config () in
   start net;
   settle net;
-  Alcotest.(check int) "no proposals" 0 (List.length net.proposed);
+  Alcotest.(check int) "no proposals" 0 (List.length (proposed net));
   (* All nodes time out of view 1; the TC advances everyone to view 2. *)
   fire_timers net;
   Array.iter
@@ -212,7 +223,7 @@ let test_rejoin_after_timeout_rotation () =
   fire_timers net;
   settle net;
   Alcotest.(check bool) "chain grows despite silent replica" true
-    (List.length net.committed > 0);
+    (List.length (committed net) > 0);
   Array.iter
     (fun node ->
       Alcotest.(check bool) "no violation" false (Node.safety_violation node))
@@ -292,7 +303,8 @@ let test_streamlet_cluster_progress () =
   settle net;
   submit net ~replica:0 (Helpers.txs 5);
   settle net;
-  Alcotest.(check bool) "streamlet commits" true (List.length net.committed > 0);
+  Alcotest.(check bool) "streamlet commits" true
+    (List.length (committed net) > 0);
   Array.iter
     (fun node ->
       Alcotest.(check bool) "no violation" false (Node.safety_violation node))

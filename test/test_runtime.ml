@@ -250,6 +250,125 @@ let test_invalid_config_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "invalid config accepted"
 
+(* Golden results: the exact outcome of three short runs, floats compared
+   by bit pattern. Any change to the per-transaction bookkeeping (issue,
+   ingest, batching, completion, dedup, latency statistics) that is meant
+   to be behaviour-preserving must leave every value here unchanged. *)
+let fingerprint (r : Runtime.result) =
+  let s = r.summary and d = r.decomposition in
+  let int x = Int64.of_int x and bits = Int64.bits_of_float in
+  [
+    ("sim_events", int r.sim_events);
+    ("committed_txs", int s.committed_txs);
+    ("committed_blocks", int s.committed_blocks);
+    ("forked_blocks", int s.forked_blocks);
+    ("views", int s.views);
+    ("rejected_txs", int s.rejected_txs);
+    ("latency_mean", bits s.latency_mean);
+    ("latency_p50", bits s.latency_p50);
+    ("latency_p99", bits s.latency_p99);
+    ("decomp_samples", int d.samples);
+    ("decomp_client_wire", bits d.client_wire);
+    ("decomp_cpu_queue", bits d.cpu_queue);
+    ("decomp_cpu_service", bits d.cpu_service);
+    ("decomp_mempool_wait", bits d.mempool_wait);
+    ("decomp_nic_serialization", bits d.nic_serialization);
+    ("decomp_consensus_wait", bits d.consensus_wait);
+    ("decomp_total", bits d.total);
+  ]
+
+let golden =
+  [
+    (* Single-target open loop; the first 0.5 ms tick already carries
+       more than 64 transactions. *)
+    ( "open loop",
+      (fun () -> run { base with runtime = 1.0 } 160_000.0),
+      [
+        ("sim_events", 30451L);
+        ("committed_txs", 112498L);
+        ("committed_blocks", 284L);
+        ("forked_blocks", 0L);
+        ("views", 284L);
+        ("rejected_txs", 0L);
+        ("latency_mean", 4580358931733424956L);
+        ("latency_p50", 4580350515405155440L);
+        ("latency_p99", 4582083837114840644L);
+        ("decomp_samples", 109936L);
+        ("decomp_client_wire", 4562256043917659305L);
+        ("decomp_cpu_queue", 4549689999100058682L);
+        ("decomp_cpu_service", 4557831464541402118L);
+        ("decomp_mempool_wait", 4573675479715264724L);
+        ("decomp_nic_serialization", 4550099425867821329L);
+        ("decomp_consensus_wait", 4575994311928963118L);
+        ("decomp_total", 4580358931733424956L);
+      ] );
+    (* Broadcast: every replica commits each tx, counted once. *)
+    ( "broadcast",
+      (fun () ->
+        Runtime.run ~config:base
+          ~workload:(Workload.open_loop ~broadcast:true ~rate:2000.0 ())
+          ()),
+      [
+        ("sim_events", 42141L);
+        ("committed_txs", 2428L);
+        ("committed_blocks", 620L);
+        ("forked_blocks", 0L);
+        ("views", 620L);
+        ("rejected_txs", 0L);
+        ("latency_mean", 4575722592516571059L);
+        ("latency_p50", 4575708138818323792L);
+        ("latency_p99", 4576569392857289292L);
+        ("decomp_samples", 0L);
+        ("decomp_client_wire", 0L);
+        ("decomp_cpu_queue", 0L);
+        ("decomp_cpu_service", 0L);
+        ("decomp_mempool_wait", 0L);
+        ("decomp_nic_serialization", 0L);
+        ("decomp_consensus_wait", 0L);
+        ("decomp_total", 0L);
+      ] );
+    (* Closed loop with a forking replica: forked txs are requeued and
+       completions reissue. *)
+    ( "closed loop, fork",
+      (fun () ->
+        Runtime.run
+          ~config:
+            {
+              base with
+              byz_no = 1;
+              strategy = Config.Fork;
+              election = Config.Hashed;
+            }
+          ~workload:(Workload.closed_loop ~clients:20)
+          ()),
+      [
+        ("sim_events", 26203L);
+        ("committed_txs", 808L);
+        ("committed_blocks", 362L);
+        ("forked_blocks", 265L);
+        ("views", 627L);
+        ("rejected_txs", 0L);
+        ("latency_mean", 4584290460831546364L);
+        ("latency_p50", 4581696343947789184L);
+        ("latency_p99", 4594896497504489952L);
+        ("decomp_samples", 788L);
+        ("decomp_client_wire", 4562253117346207968L);
+        ("decomp_cpu_queue", 4547755832853570661L);
+        ("decomp_cpu_service", 4552759247849902127L);
+        ("decomp_mempool_wait", 4581836980677868136L);
+        ("decomp_nic_serialization", 4532929555258986021L);
+        ("decomp_consensus_wait", 4574901473104247946L);
+        ("decomp_total", 4584290460831546364L);
+      ] );
+  ]
+
+let test_golden_results () =
+  List.iter
+    (fun (name, go, expected) ->
+      Alcotest.(check (list (pair string int64))) name expected
+        (fingerprint (go ())))
+    golden
+
 (* Safety property: across random seeds, protocols and faults, no two
    replicas ever commit conflicting blocks and no local violation occurs. *)
 let safety_prop =
@@ -316,5 +435,6 @@ let suite =
       test_backoff_restores_liveness;
     Alcotest.test_case "cpu utilization" `Quick test_cpu_utilization_reported;
     Alcotest.test_case "invalid config" `Quick test_invalid_config_rejected;
+    Alcotest.test_case "golden results" `Quick test_golden_results;
     QCheck_alcotest.to_alcotest safety_prop;
   ]

@@ -65,6 +65,86 @@ let test_invalid_percentile () =
     (Invalid_argument "Stats.percentile: p out of range") (fun () ->
       ignore (Stats.percentile t 101.0))
 
+(* Reference percentile: a copy sorted with [Array.sort Float.compare],
+   then the same closest-rank interpolation as [Stats.percentile]. *)
+let reference_percentile xs p =
+  let a = Array.copy xs in
+  Array.sort Float.compare a;
+  let len = Array.length a in
+  let rank = p /. 100.0 *. float_of_int (len - 1) in
+  let lo = int_of_float rank in
+  let hi = min (len - 1) (lo + 1) in
+  let frac = rank -. float_of_int lo in
+  (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)
+
+let test_percentiles_match_reference_sort () =
+  let rng = Random.State.make [| 12 |] in
+  let inputs len =
+    let random = Array.init len (fun _ -> Random.State.float rng 1000.0) in
+    let sorted = Array.copy random in
+    Array.sort Float.compare sorted;
+    [
+      ("random", random);
+      ( "duplicates",
+        Array.init len (fun _ -> float_of_int (Random.State.int rng 4)) );
+      ("sorted", sorted);
+      ("reversed", Array.of_list (List.rev (Array.to_list sorted)));
+    ]
+  in
+  List.iter
+    (fun len ->
+      List.iter
+        (fun (kind, xs) ->
+          let t = Stats.create () in
+          Array.iter (Stats.add t) xs;
+          List.iter
+            (fun p ->
+              let name = Printf.sprintf "%s, %d samples, p%g" kind len p in
+              Alcotest.(check int64) name
+                (Int64.bits_of_float (reference_percentile xs p))
+                (Int64.bits_of_float (Stats.percentile t p)))
+            [ 0.0; 50.0; 95.0; 99.0; 100.0 ])
+        (inputs len))
+    [ 1; 2; 3; 64; 65; 1000; 4097 ]
+
+(* [Latency] keeps running means only; each must equal, bit for bit, the
+   mean of a [Stats] accumulator fed the same samples. *)
+let test_latency_means_match_stats () =
+  let module Latency = Bamboo_obs.Latency in
+  let rng = Random.State.make [| 7 |] in
+  let lat = Latency.create () in
+  let refs = Array.init 7 (fun _ -> Stats.create ()) in
+  for _ = 1 to 5000 do
+    let x = Array.init 7 (fun _ -> Random.State.float rng 0.05) in
+    Array.iteri (fun i v -> Stats.add refs.(i) v) x;
+    Latency.record lat
+      {
+        client_wire = x.(0);
+        cpu_queue = x.(1);
+        cpu_service = x.(2);
+        mempool_wait = x.(3);
+        nic_serialization = x.(4);
+        consensus_wait = x.(5);
+      }
+      ~total:x.(6)
+  done;
+  let s = Latency.summarize lat in
+  Alcotest.(check int) "samples" 5000 s.samples;
+  List.iteri
+    (fun i (name, v) ->
+      Alcotest.(check int64) name
+        (Int64.bits_of_float (Stats.mean refs.(i)))
+        (Int64.bits_of_float v))
+    [
+      ("client_wire", s.client_wire);
+      ("cpu_queue", s.cpu_queue);
+      ("cpu_service", s.cpu_service);
+      ("mempool_wait", s.mempool_wait);
+      ("nic_serialization", s.nic_serialization);
+      ("consensus_wait", s.consensus_wait);
+      ("total", s.total);
+    ]
+
 let welford_matches_naive =
   let open QCheck in
   let gen = Gen.list_size (Gen.int_range 2 50) (Gen.float_range (-100.) 100.) in
@@ -105,6 +185,10 @@ let suite =
     Alcotest.test_case "single sample" `Quick test_single_sample;
     Alcotest.test_case "list helpers" `Quick test_list_helpers;
     Alcotest.test_case "invalid percentile" `Quick test_invalid_percentile;
+    Alcotest.test_case "percentiles match reference sort" `Quick
+      test_percentiles_match_reference_sort;
+    Alcotest.test_case "latency means match stats" `Quick
+      test_latency_means_match_stats;
     QCheck_alcotest.to_alcotest welford_matches_naive;
     QCheck_alcotest.to_alcotest percentile_bounds;
   ]

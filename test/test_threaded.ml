@@ -90,6 +90,19 @@ let test_ring_cluster_progress () =
   Alcotest.(check bool) "consistent" true report.consistent;
   Alcotest.(check bool) "no violation" false report.any_violation
 
+(* The generator draws each batch over the wall time since the previous
+   one, so late wakeups do not shed load. 0.95x the nominal count is 7
+   standard deviations below the Poisson mean at 20,000 txs. *)
+let test_run_offers_nominal_rate () =
+  let cluster = Ring.create_cluster ~n:4 () in
+  let endpoints = Array.init 4 (Ring.endpoint cluster) in
+  let rate = 20_000.0 and duration = 1.0 in
+  let report = Ring_runtime.run ~config ~endpoints ~duration ~rate () in
+  let floor = 0.95 *. rate *. duration in
+  if float_of_int report.offered_txs < floor then
+    Alcotest.failf "offered %d txs, expected at least %.0f"
+      report.offered_txs floor
+
 let test_tcp_cluster_progress () =
   let addresses = Tcp.loopback_addresses ~n:4 ~base_port:29600 in
   let endpoints =
@@ -110,5 +123,7 @@ let suite =
       test_chan_with_silent_byzantine;
     Alcotest.test_case "kv execution layer" `Slow test_kv_execution;
     Alcotest.test_case "ring cluster" `Slow test_ring_cluster_progress;
+    Alcotest.test_case "run offers nominal rate" `Slow
+      test_run_offers_nominal_rate;
     Alcotest.test_case "tcp cluster" `Slow test_tcp_cluster_progress;
   ]

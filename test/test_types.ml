@@ -111,6 +111,30 @@ let test_flat_vs_merkle_root () =
   Alcotest.(check bool) "roots differ" true (m.tx_root <> f.tx_root);
   Alcotest.(check bool) "hashes differ" true (not (Block.equal m f))
 
+(* The flat root hashes every leaf preimage, comma-terminated, in one
+   pass; pinned against the textual id form, negative ids and data
+   included. *)
+let test_flat_root_preimage () =
+  let txs =
+    Helpers.txs 3
+    @ [
+        Tx.make_with_data ~client:(-7) ~seq:max_int ~data:"k=v";
+        Tx.make ~client:42 ~seq:(-1) ~payload_len:8;
+      ]
+  in
+  let expected =
+    Sha256.digest
+      (String.concat ""
+         (List.map
+            (fun (t : Tx.t) -> Tx.id_to_string t.id ^ "|" ^ t.data ^ ",")
+            txs))
+  in
+  let b =
+    Block.create ~root:`Flat ~view:1 ~parent:Block.genesis
+      ~justify:(Helpers.qc_for reg Block.genesis) ~proposer:0 ~txs ()
+  in
+  Alcotest.(check string) "flat root" expected b.tx_root
+
 let test_block_wire_size_grows () =
   let small = Helpers.child ~reg ~view:1 ~txs:(Helpers.txs 1) Block.genesis in
   let large = Helpers.child ~reg ~view:1 ~txs:(Helpers.txs 100) Block.genesis in
@@ -250,6 +274,7 @@ let suite =
     Alcotest.test_case "block create" `Quick test_block_create;
     Alcotest.test_case "hash commits to fields" `Quick test_block_hash_commits_to_fields;
     Alcotest.test_case "flat vs merkle root" `Quick test_flat_vs_merkle_root;
+    Alcotest.test_case "flat root preimage" `Quick test_flat_root_preimage;
     Alcotest.test_case "wire size monotone" `Quick test_block_wire_size_grows;
     Alcotest.test_case "qc verify" `Quick test_qc_verify;
     Alcotest.test_case "qc duplicate sigs" `Quick test_qc_duplicate_sigs_dont_count;
