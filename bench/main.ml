@@ -40,6 +40,8 @@ let sample_block =
     ~proposer:0 ~txs:sample_txs ()
 
 let sample_payload = String.make 1024 'x'
+let forget_pool = ref (Bamboo_mempool.Mempool.create ())
+let forget_next = ref 0
 
 (* Ring vs mutex/condvar queue: the message-plane tentpole. Each op moves
    one batch through a pre-created structure (push_all then drain — the
@@ -118,6 +120,23 @@ let micro_tests =
           ignore (Bamboo_mempool.Mempool.add p (Tx.make ~client:0 ~seq ~payload_len:0))
         done;
         ignore (Bamboo_mempool.Mempool.batch p ~max:1000)));
+    (* One vote signature: the per-vote HMAC under a replica's prepared
+       key schedule. *)
+    Test.make ~name:"sig_sign_vote" (Staged.stage (fun () ->
+        ignore
+          (Bamboo_crypto.Sig.sign reg ~signer:1
+             (Qc.signed_payload ~block:sample_block.Block.hash ~view:1))));
+    (* A replica committing a 400-tx block it did not propose, in steady
+       state: each op forgets the next 400 seqs, none of them in the pool,
+       on a pool that has committed up to 102,400 txs (it is replaced
+       every 256 blocks). *)
+    Test.make ~name:"mempool_forget_400_foreign" (Staged.stage (fun () ->
+        let base = !forget_next in
+        if base mod (256 * 400) = 0 then
+          forget_pool := Bamboo_mempool.Mempool.create ();
+        forget_next := base + 400;
+        Bamboo_mempool.Mempool.forget !forget_pool
+          (List.init 400 (fun i -> Tx.make ~client:0 ~seq:(base + i) ~payload_len:0))));
     Test.make ~name:"quorum_aggregate_qc" (Staged.stage (fun () ->
         let q = Bamboo_quorum.Quorum.create ~n:4 in
         for voter = 0 to 2 do

@@ -21,8 +21,29 @@ let mac ~key msg =
 
 let mac_hex ~key msg = Sha256.hex (mac ~key msg)
 
-let verify ~key ~tag msg =
-  let expected = mac ~key msg in
+(* The SHA-256 chaining values after absorbing the one-block pads; each
+   later tag resumes from them instead of re-hashing the pads. *)
+type prepared = { inner : string; outer : string }
+
+let pad_state key byte =
+  let ctx = Sha256.init () in
+  Sha256.feed ctx (xor_pad key byte);
+  Sha256.midstate ctx
+
+let prepare ~key =
+  let key = normalize_key key in
+  { inner = pad_state key 0x36; outer = pad_state key 0x5c }
+
+let mac_prepared p msg =
+  let inner = Sha256.resume p.inner ~blocks:1 in
+  Sha256.feed inner msg;
+  let inner_digest = Sha256.finalize inner in
+  let outer = Sha256.resume p.outer ~blocks:1 in
+  Sha256.feed outer inner_digest;
+  Sha256.finalize outer
+
+let verify p ~tag msg =
+  let expected = mac_prepared p msg in
   if String.length expected <> String.length tag then false
   else begin
     let diff = ref 0 in

@@ -26,18 +26,15 @@ type ctx = {
   w : int32 array; (* 64-entry message schedule, reused *)
 }
 
+let start h ~total = { h; block = Bytes.create 64; fill = 0; total; w = Array.make 64 0l }
+
 let init () =
-  {
-    h =
-      [|
-        0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-        0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l;
-      |];
-    block = Bytes.create 64;
-    fill = 0;
-    total = 0L;
-    w = Array.make 64 0l;
-  }
+  start
+    [|
+      0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
+      0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l;
+    |]
+    ~total:0L
 
 let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
 
@@ -110,6 +107,13 @@ let feed_sub ctx s ~pos ~len =
 
 let feed ctx s = feed_sub ctx s ~pos:0 ~len:(String.length s)
 
+let state_bytes ctx =
+  let out = Bytes.create 32 in
+  for i = 0 to 7 do
+    Bytes.set_int32_be out (4 * i) ctx.h.(i)
+  done;
+  Bytes.unsafe_to_string out
+
 let finalize ctx =
   let bitlen = Int64.mul ctx.total 8L in
   (* Padding: 0x80, zeros, then the 64-bit big-endian bit length. *)
@@ -123,16 +127,23 @@ let finalize ctx =
   Bytes.fill ctx.block ctx.fill (56 - ctx.fill) '\x00';
   Bytes.set_int64_be ctx.block 56 bitlen;
   compress ctx;
-  let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    Bytes.set_int32_be out (4 * i) ctx.h.(i)
-  done;
-  Bytes.unsafe_to_string out
+  state_bytes ctx
 
 let digest s =
   let ctx = init () in
   feed ctx s;
   finalize ctx
+
+let midstate ctx =
+  if ctx.fill <> 0 then invalid_arg "Sha256.midstate: partial block buffered";
+  state_bytes ctx
+
+let resume state ~blocks =
+  if String.length state <> 32 then invalid_arg "Sha256.resume: state must be 32 bytes";
+  if blocks < 0 then invalid_arg "Sha256.resume: negative block count";
+  start
+    (Array.init 8 (fun i -> String.get_int32_be state (4 * i)))
+    ~total:(Int64.of_int (64 * blocks))
 
 let hex s =
   let buf = Buffer.create (2 * String.length s) in

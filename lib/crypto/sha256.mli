@@ -21,6 +21,18 @@ val finalize : ctx -> string
 val digest : string -> string
 (** One-shot 32-byte raw digest. *)
 
+val midstate : ctx -> string
+(** [midstate ctx] is the 32-byte chaining value after the whole blocks
+    absorbed so far. Raises [Invalid_argument] if a partial block is
+    buffered (the bytes fed are not a multiple of 64). The context stays
+    usable. *)
+
+val resume : string -> blocks:int -> ctx
+(** [resume state ~blocks] continues a hash whose first [blocks] 64-byte
+    blocks produced the chaining value [state] (as returned by
+    {!midstate}): feeding the rest of the message and finalizing gives the
+    same digest as hashing the whole message from {!init}. *)
+
 val hex : string -> string
 (** Lowercase hex rendering of a raw digest (or any string). *)
 

@@ -23,8 +23,12 @@ val wire_size : int
 (** Bytes a signature occupies on the wire (64, matching secp256k1). *)
 
 val setup : n:int -> master:string -> registry
-(** [setup ~n ~master] derives [n] replica keys from [master]. All replicas
-    are given the same registry out of band. *)
+(** [setup ~n ~master] is the registry of [n] replica keys derived from
+    [master]: replica [i]'s key is [Hmac.mac ~key:master
+    ("bamboo-replica-key-" ^ string_of_int i)]. Setup prepares only the
+    master's HMAC key schedule; each replica's schedule is derived on its
+    first {!sign} or {!verify}, safely from any domain. All replicas are
+    given the same registry out of band. *)
 
 val size : registry -> int
 (** Number of replicas in the registry. *)

@@ -42,7 +42,14 @@ val batch : t -> max:int -> Tx.t list
 
 val forget : t -> Tx.t list -> unit
 (** [forget t txs] marks transactions as durably committed: they will never
-    be accepted or re-queued again. *)
+    be accepted or re-queued again. Committed ids are remembered exactly,
+    per client, as a contiguous run of seqs plus a ring bitmap just above
+    it and a table for the rest, so a client's dense seqs cost O(1) words
+    however many commit. *)
+
+val bitmap_cap_bits : int
+(** The most bits one client's committed-seq bitmap may grow to; seqs it
+    cannot cover cost one table entry each instead. *)
 
 val contains : t -> Tx.id -> bool
 (** Whether the id is queued or in flight (not yet forgotten). *)

@@ -43,6 +43,45 @@ let test_hashed_covers_all () =
   done;
   Array.iter (fun s -> Alcotest.(check bool) "every replica leads" true s) seen
 
+(* The hashed scheme caches recent views; any query order, with repeats and
+   slot collisions, must give what a fresh (empty-cache) instance does. *)
+let cached_hashed_prop =
+  let open QCheck in
+  let gen =
+    Gen.pair (Gen.oneofl [ 4; 7; 64 ])
+      (Gen.list_size (Gen.int_range 1 400) (Gen.int_range 0 10_000))
+  in
+  Test.make ~name:"hashed cache = uncached answers" ~count:50
+    (make ~print:(fun (n, vs) -> Printf.sprintf "n=%d, %d queries" n (List.length vs)) gen)
+    (fun (n, views) ->
+      let e = Election.create Config.Hashed ~n in
+      List.for_all
+        (fun view ->
+          Election.leader e ~view
+          = Election.leader (Election.create Config.Hashed ~n) ~view)
+        views)
+
+let test_hashed_cache_all_views () =
+  let n = 7 in
+  let fresh view = Election.leader (Election.create Config.Hashed ~n) ~view in
+  let want = Array.init 10_001 fresh in
+  let e = Election.create Config.Hashed ~n in
+  let rng = Random.State.make [| 13 |] in
+  let order = Array.init 10_001 Fun.id in
+  for i = Array.length order - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  Array.iter
+    (fun view ->
+      Alcotest.(check int) "shuffled" want.(view) (Election.leader e ~view);
+      Alcotest.(check int) "repeat" want.(view) (Election.leader e ~view);
+      let back = Int.max 0 (view - 4) in
+      Alcotest.(check int) "recent" want.(back) (Election.leader e ~view:back))
+    order
+
 let test_invalid () =
   Alcotest.check_raises "n = 0"
     (Invalid_argument "Election.create: n must be positive") (fun () ->
@@ -58,6 +97,9 @@ let suite =
     Alcotest.test_case "static" `Quick test_static;
     Alcotest.test_case "hashed deterministic" `Quick
       test_hashed_deterministic_and_in_range;
+    Alcotest.test_case "hashed cache, views 0..10000" `Quick
+      test_hashed_cache_all_views;
+    QCheck_alcotest.to_alcotest cached_hashed_prop;
     Alcotest.test_case "hashed coverage" `Quick test_hashed_covers_all;
     Alcotest.test_case "invalid" `Quick test_invalid;
   ]

@@ -29,12 +29,12 @@ let test_rfc4231_case6_long_key () =
 let test_verify_roundtrip () =
   let key = "secret" in
   let tag = Hmac.mac ~key "message" in
-  Alcotest.(check bool) "valid" true (Hmac.verify ~key ~tag "message");
-  Alcotest.(check bool) "wrong message" false (Hmac.verify ~key ~tag "messagE");
+  Alcotest.(check bool) "valid" true (Hmac.verify (Hmac.prepare ~key) ~tag "message");
+  Alcotest.(check bool) "wrong message" false (Hmac.verify (Hmac.prepare ~key) ~tag "messagE");
   Alcotest.(check bool) "wrong key" false
-    (Hmac.verify ~key:"other" ~tag "message");
+    (Hmac.verify (Hmac.prepare ~key:"other") ~tag "message");
   Alcotest.(check bool) "truncated tag" false
-    (Hmac.verify ~key ~tag:(String.sub tag 0 16) "message")
+    (Hmac.verify (Hmac.prepare ~key) ~tag:(String.sub tag 0 16) "message")
 
 let test_distinct_keys_distinct_macs () =
   let m = "same message" in
@@ -48,7 +48,7 @@ let test_block_sized_key () =
   (* A key exactly 64 bytes long takes the no-padding path. *)
   let key = String.make 64 'k' in
   let tag = Hmac.mac ~key "m" in
-  Alcotest.(check bool) "verifies" true (Hmac.verify ~key ~tag "m")
+  Alcotest.(check bool) "verifies" true (Hmac.verify (Hmac.prepare ~key) ~tag "m")
 
 let verify_prop =
   let open QCheck in
@@ -59,7 +59,23 @@ let verify_prop =
   in
   Test.make ~name:"mac/verify round trip" ~count:300
     (make ~print:(fun (k, m) -> Printf.sprintf "key %d, msg %d" (String.length k) (String.length m)) gen)
-    (fun (key, msg) -> Hmac.verify ~key ~tag:(Hmac.mac ~key msg) msg)
+    (fun (key, msg) -> Hmac.verify (Hmac.prepare ~key) ~tag:(Hmac.mac ~key msg) msg)
+
+let prepared_prop =
+  let open QCheck in
+  let gen =
+    Gen.pair
+      (Gen.string_size ~gen:Gen.char (Gen.int_range 0 150))
+      (Gen.string_size ~gen:Gen.char (Gen.int_range 0 200))
+  in
+  Test.make ~name:"prepared key schedule = plain mac" ~count:300
+    (make ~print:(fun (k, m) -> Printf.sprintf "key %d, msg %d" (String.length k) (String.length m)) gen)
+    (fun (key, msg) ->
+      let p = Hmac.prepare ~key in
+      let tag = Hmac.mac ~key msg in
+      String.equal (Hmac.mac_prepared p msg) tag
+      && Hmac.verify p ~tag msg
+      && not (Hmac.verify p ~tag:(String.make 32 '\000') msg))
 
 let suite =
   [
@@ -72,4 +88,5 @@ let suite =
     Alcotest.test_case "tag length" `Quick test_tag_length;
     Alcotest.test_case "block-sized key" `Quick test_block_sized_key;
     QCheck_alcotest.to_alcotest verify_prop;
+    QCheck_alcotest.to_alcotest prepared_prop;
   ]

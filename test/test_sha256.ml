@@ -85,6 +85,33 @@ let collision_resistance_smoke =
     (make ~print:(fun (a, b) -> Printf.sprintf "%S vs %S" a b) gen)
     (fun (a, b) -> a = b || Sha256.digest a <> Sha256.digest b)
 
+let midstate_resume_prop =
+  let open QCheck in
+  let gen =
+    Gen.pair (Gen.int_range 0 4) (Gen.string_size ~gen:Gen.char (Gen.int_range 0 200))
+  in
+  Test.make ~name:"midstate/resume = one-shot" ~count:200
+    (make ~print:(fun (k, s) -> Printf.sprintf "%d blocks + %d bytes" k (String.length s)) gen)
+    (fun (blocks, rest) ->
+      let prefix = String.init (64 * blocks) (fun i -> Char.chr (i land 0xff)) in
+      let ctx = Sha256.init () in
+      Sha256.feed ctx prefix;
+      let resumed = Sha256.resume (Sha256.midstate ctx) ~blocks in
+      Sha256.feed resumed rest;
+      Sha256.feed ctx rest;
+      let d = Sha256.digest (prefix ^ rest) in
+      String.equal (Sha256.finalize resumed) d && String.equal (Sha256.finalize ctx) d)
+
+let test_midstate_partial_block () =
+  let ctx = Sha256.init () in
+  Sha256.feed ctx "abc";
+  Alcotest.check_raises "partial block"
+    (Invalid_argument "Sha256.midstate: partial block buffered") (fun () ->
+      ignore (Sha256.midstate ctx : string));
+  Alcotest.check_raises "short state"
+    (Invalid_argument "Sha256.resume: state must be 32 bytes") (fun () ->
+      ignore (Sha256.resume "abc" ~blocks:1 : Sha256.ctx))
+
 let suite =
   [
     Alcotest.test_case "NIST vectors" `Quick test_vectors;
@@ -96,4 +123,6 @@ let suite =
     Alcotest.test_case "hex" `Quick test_hex;
     QCheck_alcotest.to_alcotest incremental_prop;
     QCheck_alcotest.to_alcotest collision_resistance_smoke;
+    QCheck_alcotest.to_alcotest midstate_resume_prop;
+    Alcotest.test_case "midstate bounds" `Quick test_midstate_partial_block;
   ]
