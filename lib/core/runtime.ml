@@ -22,20 +22,43 @@ type ledger_block = {
 
 type ledger = ledger_block array
 
-(* The committed chain as a flat, genesis-free array: one entry per height
-   1..committed_height, lowest first. The committed prefix is contiguous
-   by construction (prefix finalization), so every height is present. *)
-let ledger_of_forest forest =
-  Array.init (Forest.committed_height forest) (fun i ->
-      match Forest.committed_at forest (i + 1) with
-      | Some (b : Block.t) ->
-          {
-            l_height = b.height;
-            l_hash = b.hash;
-            l_view = b.view;
-            l_txs = List.map (fun (tx : Tx.t) -> tx.Tx.id) b.txs;
-          }
-      | None -> assert false)
+let ledger_block (b : Block.t) =
+  {
+    l_height = b.height;
+    l_hash = b.hash;
+    l_view = b.view;
+    l_txs = List.map (fun (tx : Tx.t) -> tx.Tx.id) b.txs;
+  }
+
+(* Each replica's committed chain as a flat, genesis-free array: one entry
+   per height 1..committed_height, lowest first. The committed prefix is
+   contiguous by construction (prefix finalization), so every height is
+   present. Replicas that committed the same block share one entry, built
+   once per height: an entry is reused only for a block with the same hash
+   and view whose tx list is physically the cached one, so sharing is
+   exactly a fresh build and can never make divergent chains look alike. *)
+let ledgers_of_forests forests =
+  let top =
+    Array.fold_left (fun acc f -> max acc (Forest.committed_height f)) 0 forests
+  in
+  let cache = Array.make top None in
+  Array.map
+    (fun forest ->
+      Array.init (Forest.committed_height forest) (fun i ->
+          match Forest.committed_at forest (i + 1) with
+          | Some (b : Block.t) -> (
+              match cache.(i) with
+              | Some (txs, lb)
+                when txs == b.txs && String.equal lb.l_hash b.hash
+                     && lb.l_view = b.view ->
+                  lb
+              | Some _ -> ledger_block b
+              | None ->
+                  let lb = ledger_block b in
+                  cache.(i) <- Some (b.txs, lb);
+                  lb)
+          | None -> assert false))
+    forests
 
 type result = {
   summary : Metrics.summary;
@@ -1098,7 +1121,7 @@ let run ~config ~workload ?(bucket = 0.5) ?observer ?(trace = Trace.null)
      common prefix, checked hash-by-hash at each height (paper §III-A).
      The per-replica ledgers double as the [bamboo_check] oracle's input
      for the full agreement check (prefix compatibility + tx order). *)
-  let ledgers = Array.map (fun n -> ledger_of_forest (Node.forest n)) nodes in
+  let ledgers = ledgers_of_forests (Array.map Node.forest nodes) in
   let min_height =
     Array.fold_left (fun acc l -> min acc (Array.length l)) max_int ledgers
   in

@@ -22,6 +22,14 @@ type ledger = ledger_block array
     lowest first. Extracted once at the end of a run; the [bamboo_check]
     oracle diffs these across replicas. *)
 
+val ledgers_of_forests : Bamboo_forest.Forest.t array -> ledger array
+(** The committed chain of each forest, as {!result}'s [ledgers]. Each
+    height's entry is built once and shared (physically) by every forest
+    that committed the same block there: a forest's block reuses the entry
+    only when its hash and view match and its tx list is physically the
+    one the entry was built from, so the result is structurally equal to
+    building every chain on its own. *)
+
 type result = {
   summary : Metrics.summary;
   series : (float * float) list;  (** Committed-throughput time series. *)

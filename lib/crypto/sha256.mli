@@ -1,4 +1,6 @@
-(** SHA-256 (FIPS 180-4), implemented from scratch on int32 words.
+(** SHA-256 (FIPS 180-4), implemented from scratch on 32-bit words held in
+    native [int]s (masked after additions), so hashing allocates only the
+    context and the digest.
 
     Blocks are content-addressed by this hash (the paper's chains are
     "cryptographically linked together by hashes"). Both one-shot and

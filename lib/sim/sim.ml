@@ -1,20 +1,29 @@
 (* The event queue is the hottest structure in the simulator: every
-   message hop, CPU charge and timer is a push/pop pair. Instead of the
-   generic polymorphic [Bamboo_util.Heap] (closure-based comparator,
-   polymorphic [compare] on boxed floats, one heap-allocated entry per
-   event), the queue is a monomorphic binary min-heap in
-   structure-of-arrays layout: timestamps live in a flat unboxed [float
-   array], insertion sequence numbers (the FIFO tie-break that keeps
-   replay deterministic) in an [int array], and callbacks in a separate
-   array whose vacated slots are reset to a shared no-op so fired
-   closures are collectable immediately. Comparisons are primitive float
-   and int operations — no [cmp] closure, no polymorphic dispatch. *)
+   message hop, CPU charge and timer is a push/pop pair. It is a
+   monomorphic binary min-heap in structure-of-arrays layout: per heap
+   position, the timestamp (a flat unboxed [float array]), the insertion
+   sequence number (the FIFO tie-break that keeps replay deterministic)
+   and a slot number. Callbacks never move: each lives in [fns] at its
+   slot, written once on [push] and reset to a shared no-op on
+   [take]/[remove] so fired closures are collectable immediately. Sifting
+   therefore moves only unboxed (at, seq, slot) triples, into a hole
+   rather than by swaps, and never goes through the write barrier.
+
+   Free slots need no array of their own. Every live entry holds exactly
+   one slot, so the [hwm - len] slots handed out and since freed fit in
+   [slot]'s positions [len, hwm), past the heap: a [take] leaves its slot
+   in the position the heap just gave up, and a [push] into position
+   [len] reuses the slot it finds there. Slots at [hwm] and above have
+   never been used. *)
 module Eq = struct
   type t = {
-    mutable at : float array; (* flat, unboxed *)
-    mutable seq : int array;
-    mutable fn : (unit -> unit) array;
+    mutable at : float array; (* heap position -> timestamp, unboxed *)
+    mutable seq : int array; (* heap position -> insertion sequence *)
+    mutable slot : int array;
+        (* heap position -> slot of its callback; [len, hwm): free slots *)
+    mutable fns : (unit -> unit) array; (* slot -> callback *)
     mutable len : int;
+    mutable hwm : int; (* slots ever handed out *)
     mutable next_seq : int;
   }
 
@@ -22,110 +31,142 @@ module Eq = struct
 
   let initial = 256
 
+  (* The arrays are allocated on the first push: a queue that is created
+     and never used (setup paths, short probes) costs only its record. *)
   let create () =
-    {
-      at = Array.make initial 0.0;
-      seq = Array.make initial 0;
-      fn = Array.make initial nop;
-      len = 0;
-      next_seq = 0;
-    }
+    { at = [||]; seq = [||]; slot = [||]; fns = [||]; len = 0; hwm = 0; next_seq = 0 }
 
   let length q = q.len
 
-  (* Strict (key, seq) lexicographic order. Keys are never NaN: the
-     scheduler clamps them against the monotone clock. *)
-  let less q i j =
-    let ai = Array.unsafe_get q.at i and aj = Array.unsafe_get q.at j in
-    ai < aj
-    || (ai = aj && Array.unsafe_get q.seq i < Array.unsafe_get q.seq j)
-
-  let swap q i j =
-    let a = q.at.(i) in
-    q.at.(i) <- q.at.(j);
-    q.at.(j) <- a;
-    let s = q.seq.(i) in
-    q.seq.(i) <- q.seq.(j);
-    q.seq.(j) <- s;
-    let f = q.fn.(i) in
-    q.fn.(i) <- q.fn.(j);
-    q.fn.(j) <- f
-
-  let rec sift_up q i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if less q i parent then begin
-        swap q i parent;
-        sift_up q parent
-      end
-    end
-
-  let rec sift_down q i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < q.len && less q l !smallest then smallest := l;
-    if r < q.len && less q r !smallest then smallest := r;
-    if !smallest <> i then begin
-      swap q i !smallest;
-      sift_down q !smallest
-    end
-
   let grow q =
     let cap = Array.length q.at in
-    let at = Array.make (2 * cap) 0.0 in
+    let ncap = max initial (2 * cap) in
+    let at = Array.make ncap 0.0 in
     Array.blit q.at 0 at 0 cap;
     q.at <- at;
-    let seq = Array.make (2 * cap) 0 in
+    let seq = Array.make ncap 0 in
     Array.blit q.seq 0 seq 0 cap;
     q.seq <- seq;
-    let fn = Array.make (2 * cap) nop in
-    Array.blit q.fn 0 fn 0 cap;
-    q.fn <- fn
+    let slot = Array.make ncap 0 in
+    Array.blit q.slot 0 slot 0 cap;
+    q.slot <- slot;
+    let fns = Array.make ncap nop in
+    Array.blit q.fns 0 fns 0 cap;
+    q.fns <- fns
+
+  (* Moves the entry at position [src] into the hole at [hole] and
+     sifts it up: ancestors that order after it (strict (at, seq)
+     lexicographic order; keys are never NaN, the scheduler clamps them
+     against the monotone clock) move down one level each. *)
+  let sift_up q hole src =
+    let ats = q.at and seqs = q.seq and slots = q.slot in
+    let at = ats.(src) and seq = seqs.(src) and slot = slots.(src) in
+    let i = ref hole in
+    let moving = ref true in
+    while !moving && !i > 0 do
+      let p = (!i - 1) / 2 in
+      let pa = ats.(p) in
+      if at < pa || (at = pa && seq < seqs.(p)) then begin
+        ats.(!i) <- pa;
+        seqs.(!i) <- seqs.(p);
+        slots.(!i) <- slots.(p);
+        i := p
+      end
+      else moving := false
+    done;
+    ats.(!i) <- at;
+    seqs.(!i) <- seq;
+    slots.(!i) <- slot
+
+  (* Moves the entry at position [src] into the hole at [hole] and sifts
+     it down: the smaller child moves up while it orders first. *)
+  let sift_down q hole src =
+    let ats = q.at and seqs = q.seq and slots = q.slot in
+    let at = ats.(src) and seq = seqs.(src) and slot = slots.(src) in
+    let len = q.len in
+    let i = ref hole in
+    let moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= len then moving := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < len then begin
+            let ra = ats.(r) and la = ats.(l) in
+            if ra < la || (ra = la && seqs.(r) < seqs.(l)) then r else l
+          end
+          else l
+        in
+        let ca = ats.(c) in
+        if ca < at || (ca = at && seqs.(c) < seq) then begin
+          ats.(!i) <- ca;
+          seqs.(!i) <- seqs.(c);
+          slots.(!i) <- slots.(c);
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    ats.(!i) <- at;
+    seqs.(!i) <- seq;
+    slots.(!i) <- slot
 
   let push q ~at fn =
-    if q.len = Array.length q.at then grow q;
     let i = q.len in
+    if i = Array.length q.at then grow q;
+    let s =
+      if i < q.hwm then q.slot.(i)
+      else begin
+        let s = q.hwm in
+        q.hwm <- s + 1;
+        s
+      end
+    in
+    q.fns.(s) <- fn;
     q.at.(i) <- at;
     q.seq.(i) <- q.next_seq;
-    q.fn.(i) <- fn;
+    q.slot.(i) <- s;
     q.next_seq <- q.next_seq + 1;
-    q.len <- q.len + 1;
-    sift_up q i
+    q.len <- i + 1;
+    sift_up q i i
 
   (* Only meaningful when [length q > 0]. *)
   let min_at q = q.at.(0)
 
-  (* Removes the root and returns its callback; callers must have checked
-     [length q > 0]. *)
-  let take q =
-    let fn = q.fn.(0) in
-    let last = q.len - 1 in
-    q.len <- last;
-    q.at.(0) <- q.at.(last);
-    q.seq.(0) <- q.seq.(last);
-    q.fn.(0) <- q.fn.(last);
-    q.fn.(last) <- nop;
-    if last > 0 then sift_down q 0;
+  (* Empties slot [s] and returns its callback. *)
+  let release q s =
+    let fn = q.fns.(s) in
+    q.fns.(s) <- nop;
     fn
 
-  (* Removes the entry at heap index [i] (controlled scheduling picks
-     events other than the root) and returns its callback. The vacated
-     slot takes the last entry, which may need to move either way. *)
+  (* Removes the root and returns its callback; callers must have checked
+     [length q > 0]. The last entry fills the root's hole, and the freed
+     slot goes to the position the heap gives up. *)
+  let take q =
+    let s = q.slot.(0) in
+    let last = q.len - 1 in
+    q.len <- last;
+    if last > 0 then sift_down q 0 last;
+    q.slot.(last) <- s;
+    release q s
+
+  (* Removes the entry at heap position [i] (controlled scheduling picks
+     events other than the root) and returns its callback. The last entry
+     fills the hole, moving up or down as its key requires. *)
   let remove q i =
-    let fn = q.fn.(i) in
+    let s = q.slot.(i) in
     let last = q.len - 1 in
     q.len <- last;
     if i < last then begin
-      q.at.(i) <- q.at.(last);
-      q.seq.(i) <- q.seq.(last);
-      q.fn.(i) <- q.fn.(last)
+      let p = (i - 1) / 2 in
+      let la = q.at.(last) and pa = q.at.(p) in
+      if i > 0 && (la < pa || (la = pa && q.seq.(last) < q.seq.(p))) then
+        sift_up q i last
+      else sift_down q i last
     end;
-    q.fn.(last) <- nop;
-    if i < last then begin
-      sift_down q i;
-      sift_up q i
-    end;
-    fn
+    q.slot.(last) <- s;
+    release q s
 end
 
 (* --- controlled scheduling --- *)

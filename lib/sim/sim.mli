@@ -8,7 +8,10 @@
     structure-of-arrays layout (unboxed timestamps, primitive
     comparisons, FIFO sequence tie-break), specialized away from the
     generic [Bamboo_util.Heap] because every simulated message hop, CPU
-    charge and timer passes through it. *)
+    charge and timer passes through it. It is slot-indexed: the heap
+    moves only unboxed (timestamp, sequence, slot) triples, with
+    hole-based sifts, while each callback stays in a recycled slot from
+    [push] until it fires. *)
 
 type t
 

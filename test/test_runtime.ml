@@ -405,8 +405,95 @@ let safety_prop =
       let r = run config 3000.0 in
       r.consistent && not r.any_violation)
 
+(* --- ledgers shared across replicas --- *)
+
+let ledger_block (b : Bamboo_types.Block.t) =
+  {
+    Runtime.l_height = b.height;
+    l_hash = b.hash;
+    l_view = b.view;
+    l_txs = List.map (fun (tx : Bamboo_types.Tx.t) -> tx.id) b.txs;
+  }
+
+(* The reference: every replica's chain built on its own. *)
+let per_replica_ledgers forests =
+  Array.map
+    (fun f ->
+      Array.init (Bamboo_forest.Forest.committed_height f) (fun i ->
+          match Bamboo_forest.Forest.committed_at f (i + 1) with
+          | Some b -> ledger_block b
+          | None -> Alcotest.fail "committed prefix has a gap"))
+    forests
+
+let check_shared name (ledgers : Runtime.ledger array) =
+  let common = Array.fold_left (fun acc l -> min acc (Array.length l)) max_int ledgers in
+  Alcotest.(check bool) (name ^ ": committed something") true (common > 0);
+  Array.iteri
+    (fun i l ->
+      for h = 0 to common - 1 do
+        if not (l.(h) == ledgers.(0).(h)) then
+          Alcotest.failf "%s: replica %d, height %d not shared" name i (h + 1)
+      done)
+    ledgers
+
+let test_ledgers_shared () =
+  let config = { base with n = 7 } in
+  let r = run config 3000.0 in
+  check_healthy "n=7" r;
+  check_shared "n=7" r.ledgers;
+  (* The same run's forests, exposed through a pass-through scheduler,
+     against a per-replica build. *)
+  let nodes = ref [||] in
+  let scheduler (v : Runtime.sched_view) =
+    nodes := v.sv_nodes;
+    {
+      Runtime.sh_controller = { Bamboo_sim.Sim.window = 0.0; choose = (fun ~now:_ _ -> 0) };
+      sh_on_exec = ignore;
+    }
+  in
+  let r =
+    Runtime.run ~config ~workload:(Workload.open_loop ~rate:3000.0 ()) ~scheduler ()
+  in
+  let forests = Array.map Bamboo.Node.forest !nodes in
+  Alcotest.(check int) "all replicas captured" 7 (Array.length forests);
+  check_shared "controlled n=7" r.ledgers;
+  Alcotest.(check bool) "equal to a per-replica build" true
+    (r.ledgers = per_replica_ledgers forests)
+
+(* A block that claims another's hash and view but carries a different tx
+   list (a hash collision, made by hand) must get its own entry. *)
+let test_ledgers_collision_not_shared () =
+  let open Bamboo_types in
+  let module Forest = Bamboo_forest.Forest in
+  let reg = Helpers.registry () in
+  let b1 = Helpers.child ~reg ~view:1 ~txs:(Helpers.txs 3) Block.genesis in
+  let b2 = Helpers.child ~reg ~view:2 ~txs:(Helpers.txs ~client:1 2) b1 in
+  let forged = { b2 with Block.txs = Helpers.txs ~client:2 2 } in
+  let forest blocks =
+    let f = Forest.create () in
+    List.iter (fun b -> ignore (Forest.add f b : Forest.add_result)) blocks;
+    (match Forest.commit f (List.nth blocks (List.length blocks - 1)).Block.hash with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "commit failed");
+    f
+  in
+  let forests = [| forest [ b1; b2 ]; forest [ b1; forged ]; forest [ b1 ] |] in
+  let shared = Runtime.ledgers_of_forests forests in
+  Alcotest.(check bool) "equal to a per-replica build" true
+    (shared = per_replica_ledgers forests);
+  Alcotest.(check bool) "same block shared" true
+    (shared.(1).(0) == shared.(0).(0) && shared.(2).(0) == shared.(0).(0));
+  Alcotest.(check bool) "colliding block not shared" false
+    (shared.(1).(1) == shared.(0).(1));
+  Alcotest.(check bool) "colliding block keeps its txs" true
+    (shared.(1).(1).l_txs = List.map (fun (tx : Tx.t) -> tx.id) forged.txs
+    && shared.(1).(1).l_txs <> shared.(0).(1).l_txs)
+
 let suite =
   [
+    Alcotest.test_case "ledgers shared across replicas" `Quick test_ledgers_shared;
+    Alcotest.test_case "ledger collision not shared" `Quick
+      test_ledgers_collision_not_shared;
     Alcotest.test_case "happy path, all protocols" `Quick
       test_happy_path_all_protocols;
     Alcotest.test_case "block interval constants" `Quick

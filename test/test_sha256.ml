@@ -112,8 +112,51 @@ let test_midstate_partial_block () =
     (Invalid_argument "Sha256.resume: state must be 32 bytes") (fun () ->
       ignore (Sha256.resume "abc" ~blocks:1 : Sha256.ctx))
 
+(* Digests of a fixed byte pattern, recorded from the int32 reference
+   kernel: lengths straddle the 55/56-byte padding edge and the 64-byte
+   block edge, and the long ones run many compressions back to back. *)
+let pattern len = String.init len (fun i -> Char.chr (((i * 31) + 7) land 0xff))
+
+let pinned_digests =
+  [
+    (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    (1, "ca358758f6d27e6cf45272937977a748fd88391db679ceda7dc7bf1f005ee879");
+    (55, "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b");
+    (56, "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63");
+    (57, "5b46e502092be01b1100193e089fdda95638c12e19a1d24f308eb2c3d3ae849d");
+    (63, "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076");
+    (64, "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd");
+    (65, "788367c73c7ddf4c53f65e68cc0d943e6227ab55b0e78ba63ace822b1c6301c0");
+    (119, "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe");
+    (120, "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656");
+    (128, "cc548ca2dec1f6fe4f58b2e27aa9c7521607df1130d140b55a4dad0665302356");
+    (129, "81e89a7b2911aaa7795f9e3d4910cb47d6cd2b00d83b8399481527261a1a7519");
+    (1000, "5097e7d587352f5097062ae679f37bda5802d9f875aba14c8cb4d1a188ada179");
+    (6000, "36999de9c7aebde858fa19a0741afe2b808b98e79294a9b01c67df1242e40a5b");
+  ]
+
+let test_pinned_digests () =
+  List.iter
+    (fun (len, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "pattern of %d bytes" len)
+        expected
+        (Sha256.digest_hex (pattern len)))
+    pinned_digests;
+  (* FIPS 180-2 appendix B.3: one million 'a's, fed in uneven pieces. *)
+  let ctx = Sha256.init () in
+  let chunk = String.make 999 'a' in
+  for _ = 1 to 1001 do
+    Sha256.feed ctx chunk
+  done;
+  Sha256.feed ctx "a";
+  Alcotest.(check string) "1,000,000 x a"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (Sha256.hex (Sha256.finalize ctx))
+
 let suite =
   [
+    Alcotest.test_case "pinned digests" `Quick test_pinned_digests;
     Alcotest.test_case "NIST vectors" `Quick test_vectors;
     Alcotest.test_case "incremental = one-shot" `Quick test_incremental_equals_oneshot;
     Alcotest.test_case "feed_sub" `Quick test_feed_sub;

@@ -88,8 +88,51 @@ let test_concurrent_first_use () =
   Alcotest.(check int) "exact sign count" (domains * n * rounds) (Sig.signs reg);
   Alcotest.(check int) "no verifies" 0 (Sig.verifies reg)
 
+(* Tags under prepared per-replica schedules, recorded from the int32
+   reference kernel: a vote payload, a timeout payload and a 200-byte
+   pattern spanning several blocks. *)
+let pinned_tags =
+  [
+    ( Bamboo_types.Qc.signed_payload
+        ~block:(Bamboo_crypto.Sha256.digest "pin-block")
+        ~view:17,
+      [
+        "7b457b53be372b8b18119ba8e172e0e2d9446f4ad3485880526f25cc5464dbc7";
+        "2580580933c0d0398ddf6468effd39439b31d22f304a9440717f2b63d1989871";
+        "9788e10e9297b35b0720879131ed0a131da7fcef458fb0a7efb5e07adc198e57";
+      ] );
+    ( Bamboo_types.Timeout_msg.signed_payload ~view:123456,
+      [
+        "83849b03b72d72aeed40076e9c4909cbdb414fd9c82b7d006f1fd8389e2f9a1a";
+        "ad731bbbad641f2fd79a88eabdee3ae8f35b5c2f26fe99f03f564d34577fbeb9";
+        "c2c02ee705d98a028c8306fef0de27a061fdb61b130469cdfafae5f709b08d94";
+      ] );
+    ( String.init 200 (fun i -> Char.chr (((i * 31) + 7) land 0xff)),
+      [
+        "8f626150f7f7667084b13b432a16442e7eae975220cf6fbf34796dca0b7e0adc";
+        "68b836296e6e905734aa58b119a9c002692bced24e1e685301f0a768678210cd";
+        "0347ff114bd4b4d90d141cf8cdbfec178259368f01fced26a45479d790d571dc";
+      ] );
+  ]
+
+let test_pinned_tags () =
+  let reg = Sig.setup ~n:3 ~master:"pin-master" in
+  List.iteri
+    (fun pi (payload, tags) ->
+      List.iteri
+        (fun signer expected ->
+          let s = Sig.sign reg ~signer payload in
+          Alcotest.(check string)
+            (Printf.sprintf "payload %d, replica %d" pi signer)
+            expected
+            (Bamboo_crypto.Sha256.hex s.Sig.tag);
+          Alcotest.(check bool) "verifies" true (Sig.verify reg s payload))
+        tags)
+    pinned_tags
+
 let suite =
   [
+    Alcotest.test_case "pinned tags" `Quick test_pinned_tags;
     Alcotest.test_case "sign/verify" `Quick test_sign_verify;
     Alcotest.test_case "signer binding" `Quick test_signer_binding;
     Alcotest.test_case "out of range" `Quick test_out_of_range;

@@ -293,8 +293,176 @@ let firing_order_prop =
       in
       List.rev !fired = oracle)
 
+(* The slot-indexed heap against a list oracle, past the initial 256
+   slots, with events scheduled from inside firing callbacks and, when
+   [window] is given, a controller that picks random candidates (most of
+   them not the heap root, so [Eq.remove] runs on inner positions). The
+   oracle keeps pending events in insertion order within each timestamp,
+   i.e. stably sorted by time, and replays the controller's rule: when
+   the earliest event is a tagged delivery with another tagged one within
+   [window], the chosen candidate fires at the earliest timestamp. *)
+
+(* Children of event [id]: up to two, each with a delay on a 0.25 s grid
+   and a tag bit, fixed by [salt]. *)
+let kids ~salt id =
+  let h = ((id * 0x9E3779B1) lxor salt) land 0xFFFFFF in
+  List.init (h mod 3) (fun k ->
+      let h' = h lsr (2 + (5 * k)) in
+      (float_of_int (h' land 15) /. 4.0, h' land 16 <> 0))
+
+let pick ~choices d n = choices.(d mod Array.length choices) mod n
+
+type ev = { id : int; at : float; tagged : bool }
+
+let oracle ~salt ~cap ~window ~choices initial =
+  (* [pending] is sorted by [at]; equal timestamps stay in insertion
+     order because a new event goes after every event at its time. *)
+  let pending = ref [] and clock = ref 0.0 and next_id = ref 0 in
+  let add delay tagged =
+    let e = { id = !next_id; at = !clock +. delay; tagged } in
+    incr next_id;
+    let rec insert = function
+      | x :: rest when x.at <= e.at -> x :: insert rest
+      | l -> e :: l
+    in
+    pending := insert !pending
+  in
+  List.iter (fun (d, tg) -> add d tg) initial;
+  let fired = ref [] and snapshots = ref [] and decisions = ref 0 in
+  let rec loop () =
+    match !pending with
+    | [] -> ()
+    | root :: _ ->
+        let chosen =
+          match window with
+          | Some w when root.tagged -> (
+              match List.filter (fun e -> e.tagged && e.at <= root.at +. w) !pending with
+              | [ _ ] -> root
+              | cands ->
+                  let k = pick ~choices !decisions (List.length cands) in
+                  incr decisions;
+                  List.nth cands k)
+          | _ -> root
+        in
+        pending := List.filter (fun e -> e.id <> chosen.id) !pending;
+        clock := Float.max !clock root.at;
+        fired := (chosen.id, !clock) :: !fired;
+        if Option.is_some window && List.length !fired mod 37 = 0 then
+          snapshots :=
+            List.filter_map
+              (fun e -> if e.tagged then Some (e.at, string_of_int e.id) else None)
+              !pending
+            :: !snapshots;
+        List.iter (fun (d, tg) -> if !next_id < cap then add d tg) (kids ~salt chosen.id);
+        loop ()
+  in
+  loop ();
+  (List.rev !fired, List.rev !snapshots)
+
+let simulate ~salt ~cap ~window ~choices initial =
+  let sim = Sim.create () in
+  let decisions = ref 0 in
+  Option.iter
+    (fun window ->
+      Sim.set_controller sim
+        (Some
+           {
+             Sim.window;
+             choose =
+               (fun ~now:_ arr ->
+                 let k = pick ~choices !decisions (Array.length arr) in
+                 incr decisions;
+                 k);
+           }))
+    window;
+  let fired = ref [] and snapshots = ref [] and next_id = ref 0 in
+  let rec add delay tagged =
+    let id = !next_id in
+    incr next_id;
+    let fn () =
+      fired := (id, Sim.now sim) :: !fired;
+      if Option.is_some window && List.length !fired mod 37 = 0 then
+        snapshots :=
+          List.map (fun (at, _, _, note) -> (at, note)) (Sim.pending_deliveries sim)
+          :: !snapshots;
+      List.iter (fun (d, tg) -> if !next_id < cap then add d tg) (kids ~salt id)
+    in
+    if tagged then
+      Sim.schedule_delivery sim ~delay ~src:(id mod 4) ~dst:((id + 1) mod 4)
+        ~note:(string_of_int id) fn
+    else Sim.schedule sim ~delay fn
+  in
+  List.iter (fun (d, tg) -> add d tg) initial;
+  Sim.run_until sim 1e9;
+  (List.rev !fired, List.rev !snapshots)
+
+let deep_heap_prop ~controlled =
+  let open QCheck in
+  let gen =
+    Gen.(
+      triple (int_bound 0xFFFFFF)
+        (array_size (int_range 1 16) (int_bound 1000))
+        (list_size (int_range 257 600) (pair (int_range 0 15) bool)))
+  in
+  Test.make
+    ~name:
+      (if controlled then "deep heap + nested + controller = list oracle"
+       else "deep heap + nested scheduling = list oracle")
+    ~count:40
+    (make
+       ~print:(fun (salt, choices, initial) ->
+         Printf.sprintf "salt %d, %d choices, %d initial events" salt
+           (Array.length choices) (List.length initial))
+       gen)
+    (fun (salt, choices, initial) ->
+      let initial = List.map (fun (g, tg) -> (float_of_int g /. 4.0, tg)) initial in
+      let cap = List.length initial + 1500 in
+      let window = if controlled then Some 0.5 else None in
+      let fired, snaps = simulate ~salt ~cap ~window ~choices initial in
+      let fired', snaps' = oracle ~salt ~cap ~window ~choices initial in
+      List.length fired > 256 && fired = fired' && snaps = snaps')
+
+(* A fired callback's slot is emptied: whatever the closure captured is
+   garbage once it has run, even while the heap stays deep — whether it
+   left as the root ([take]) or was picked from inside the heap by a
+   controller ([remove]). *)
+let[@inline never] schedule_capturing sim w ~tagged =
+  let block = Bytes.make 4096 'x' in
+  Weak.set w 0 (Some block);
+  let fn () = ignore (Sys.opaque_identity (Bytes.length block)) in
+  if tagged then Sim.schedule_delivery sim ~delay:1.0 ~src:0 ~dst:1 ~note:"late" fn
+  else Sim.schedule sim ~delay:1.0 fn
+
+let test_fired_closure_collectable () =
+  List.iter
+    (fun controlled ->
+      let sim = Sim.create () in
+      if controlled then
+        (* Always picks the last candidate: the capturing delivery, which
+           was scheduled after the other one at the same instant. *)
+        Sim.set_controller sim
+          (Some { Sim.window = 0.0; choose = (fun ~now:_ arr -> Array.length arr - 1) });
+      let w = Weak.create 1 in
+      for i = 1 to 300 do
+        Sim.schedule sim ~delay:(2.0 +. float_of_int i) ignore
+      done;
+      if controlled then Sim.schedule_delivery sim ~delay:1.0 ~src:1 ~dst:0 ~note:"early" ignore;
+      schedule_capturing sim w ~tagged:controlled;
+      Gc.full_major ();
+      Alcotest.(check bool) "alive while pending" true (Option.is_some (Weak.get w 0));
+      Sim.run_until sim 1.5;
+      Alcotest.(check int) "controller decisions" (if controlled then 1 else 0)
+        (Sim.decisions sim);
+      Gc.full_major ();
+      Alcotest.(check bool) "reclaimed after firing" true (Option.is_none (Weak.get w 0));
+      Alcotest.(check int) "rest still pending" 300 (Sim.pending sim))
+    [ false; true ]
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest (deep_heap_prop ~controlled:false);
+    QCheck_alcotest.to_alcotest (deep_heap_prop ~controlled:true);
+    Alcotest.test_case "fired closure collectable" `Quick test_fired_closure_collectable;
     Alcotest.test_case "event ordering" `Quick test_event_ordering;
     QCheck_alcotest.to_alcotest firing_order_prop;
     Alcotest.test_case "same-time FIFO" `Quick test_same_time_fifo;

@@ -259,8 +259,33 @@ let test_message_view_and_label () =
   Alcotest.(check string) "label" "proposal"
     (Message.type_label (Message.Proposal { block = b; tc = None }))
 
+(* The exact bytes every vote and timeout signature covers: a change here
+   would invalidate every recorded tag. *)
+let test_signed_payload_bytes () =
+  let h = String.init 32 (fun i -> Char.chr (((i * 37) + 200) land 0xff)) in
+  List.iter
+    (fun (view, text) ->
+      Alcotest.(check string)
+        (Printf.sprintf "vote payload, view %s" text)
+        ("vote|" ^ text ^ "|" ^ h)
+        (Qc.signed_payload ~block:h ~view);
+      Alcotest.(check string)
+        (Printf.sprintf "timeout payload, view %s" text)
+        ("timeout|" ^ text)
+        (Timeout_msg.signed_payload ~view))
+    [
+      (0, "0");
+      (4_611_686_018_427_387_903, "4611686018427387903");
+      (-42, "-42");
+      (-4_611_686_018_427_387_904, "-4611686018427387904");
+    ];
+  Alcotest.(check string) "vote payload, literal bytes"
+    "vote|7|\200\237\0187\\\129\166\203\240\021:_\132\169\206\243\024=b\135\172\209\246\027@e\138\175\212\249\030C"
+    (Qc.signed_payload ~block:h ~view:7)
+
 let suite =
   [
+    Alcotest.test_case "signed payload bytes" `Quick test_signed_payload_bytes;
     Alcotest.test_case "tx basics" `Quick test_tx_basics;
     Alcotest.test_case "tx negative payload" `Quick test_tx_negative_payload;
     Alcotest.test_case "tx with data" `Quick test_tx_with_data;
